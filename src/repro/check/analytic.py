@@ -6,15 +6,17 @@ vector: Eq. 1 of the paper (verified against exact trace integration),
 the 802.11 DCF slotted-access analysis (exact per-seed timelines, the
 idle-channel mean, and the freeze-and-resume timeline across a busy
 period — the oracle that would have caught the backoff-redraw bug),
-and the RFC 1071 / CRC-24 / IEEE CRC-32 conformance vectors.
+and the RFC 1071 / CRC-24 / IEEE CRC-32 / CRC-16 conformance vectors.
+The CRC-32 and CRC-16 references here are the table-driven loops that
+production replaced with ``zlib`` and ``binascii``.
 """
 
 from __future__ import annotations
 
 import random
-import zlib
 
 from ..ble.crc24 import ADVERTISING_CRC_INIT, append_crc, check_crc, crc24
+from ..core.payload import crc16_ccitt
 from ..dot11 import Beacon, MacAddress, Ssid
 from ..dot11.airtime import DIFS_US, SLOT_US, frame_airtime_us
 from ..dot11.fcs import append_fcs, check_fcs, crc32
@@ -266,9 +268,32 @@ def check_crc24() -> Deviation:
                      unit="mismatches", detail=f"{trials} comparisons")
 
 
+def _crc32_table() -> tuple[int, ...]:
+    """256-entry table for the reflected IEEE CRC-32 (poly 0xEDB88320)."""
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
+        table.append(crc)
+    return tuple(table)
+
+
+_CRC32_TABLE = _crc32_table()
+
+
+def _crc32_tabled(data: bytes) -> int:
+    """Independent table-driven CRC-32/IEEE (one lookup per byte)."""
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
+
+
 @oracle("fcs-vs-zlib", "analytic",
-        "the 802.11 FCS CRC-32 matches zlib.crc32 and the standard "
-        "check value for '123456789'")
+        "the 802.11 FCS CRC-32 (zlib) matches an independent "
+        "table-driven implementation and the standard check value for "
+        "'123456789'")
 def check_fcs_zlib() -> Deviation:
     mismatches = 0
     # The universal CRC-32/IEEE check value.
@@ -278,7 +303,50 @@ def check_fcs_zlib() -> Deviation:
     for _ in range(48):
         frame = rng.randbytes(rng.randrange(0, 200))
         trials += 2
-        mismatches += crc32(frame) != zlib.crc32(frame)
+        mismatches += crc32(frame) != _crc32_tabled(frame)
         mismatches += not check_fcs(append_fcs(frame))
+    return Deviation(max_deviation=float(mismatches), tolerance=0.0,
+                     unit="mismatches", detail=f"{trials} comparisons")
+
+
+def _crc16_table() -> tuple[int, ...]:
+    """256-entry table for CRC-16/CCITT (poly 0x1021, MSB-first)."""
+    table = []
+    for byte in range(256):
+        crc = byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) & 0xFFFF
+        table.append(crc)
+    return tuple(table)
+
+
+_CRC16_TABLE = _crc16_table()
+
+
+def _crc16_tabled(data: bytes, initial: int = 0xFFFF) -> int:
+    """Independent table-driven CRC-16/CCITT (one lookup per byte)."""
+    crc = initial
+    for byte in data:
+        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
+    return crc
+
+
+@oracle("crc16-ccitt-vs-table", "analytic",
+        "the Wi-LE message CRC-16 (binascii) matches an independent "
+        "table-driven implementation, from the default and random "
+        "initial values, and the CRC-16/CCITT-FALSE check value")
+def check_crc16() -> Deviation:
+    mismatches = 0
+    # The CRC-16/CCITT-FALSE check value.
+    mismatches += crc16_ccitt(b"123456789") != 0x29B1
+    rng = random.Random(16)
+    trials = 1
+    for _ in range(48):
+        blob = rng.randbytes(rng.randrange(0, 250))
+        initial = rng.randrange(0x10000)
+        trials += 2
+        mismatches += crc16_ccitt(blob) != _crc16_tabled(blob)
+        mismatches += crc16_ccitt(blob, initial) != _crc16_tabled(blob,
+                                                                  initial)
     return Deviation(max_deviation=float(mismatches), tolerance=0.0,
                      unit="mismatches", detail=f"{trials} comparisons")

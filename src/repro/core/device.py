@@ -290,8 +290,7 @@ class WiLEDevice:
         TX energy for independent shots through a busy channel.
         """
         if first:
-            self.inject(beacon)
-            window_s = self._tx_window_s(beacon)
+            window_s = self.warmup_s + self.inject(beacon).airtime_s
         else:
             window_s = self._inject_repeat(beacon)
         if remaining > 1:
@@ -313,11 +312,10 @@ class WiLEDevice:
 
     def _inject_repeat(self, beacon: Beacon) -> float:
         """One extra copy: no warm-up (the radio is already hot)."""
-        airtime_s = frame_airtime_us(len(beacon.to_bytes()), self.rate) / 1e6
-        tx_state = (Esp32State.TX_LOW if self.tx_power_dbm <= 10.0
-                    else Esp32State.TX_HIGH)
-        self._record(tx_state, airtime_s, "tx-repeat")
-        self.radio.transmit(beacon, self.rate)
+        transmission = self.radio.transmit(beacon, self.rate)
+        airtime_s = frame_airtime_us(len(transmission.frame_bytes),
+                                     self.rate) / 1e6
+        self._record(self._tx_state, airtime_s, "tx-repeat")
         return airtime_s
 
     def build_message(self, readings: tuple[SensorReading, ...]) -> WileMessage:
@@ -360,9 +358,7 @@ class WiLEDevice:
                 self._record(Esp32State.LISTEN, access_delay_s, "csma-wait",
                              at_s=self.sim.now_s - access_delay_s)
             airtime_s = transmission.end_s - self.sim.now_s
-            tx_state = (Esp32State.TX_LOW if self.tx_power_dbm <= 10.0
-                        else Esp32State.TX_HIGH)
-            self._record(tx_state, self.warmup_s + airtime_s, "tx")
+            self._record(self._tx_state, self.warmup_s + airtime_s, "tx")
             self.transmissions.append(TransmissionRecord(
                 time_s=self.sim.now_s,
                 sequence=self.sequence,
@@ -394,17 +390,16 @@ class WiLEDevice:
         was_off = not self.radio.is_listening(self.radio.channel)
         if was_off:
             self.radio.power_on()
-        airtime_s = frame_airtime_us(len(beacon.to_bytes()), self.rate) / 1e6
-        tx_state = (Esp32State.TX_LOW if self.tx_power_dbm <= 10.0
-                    else Esp32State.TX_HIGH)
-        self._record(tx_state, self.warmup_s + airtime_s, "tx")
         transmission = self.radio.transmit(beacon, self.rate)
+        frame_bytes = len(transmission.frame_bytes)
+        airtime_s = frame_airtime_us(frame_bytes, self.rate) / 1e6
+        self._record(self._tx_state, self.warmup_s + airtime_s, "tx")
         record = TransmissionRecord(
             time_s=self.sim.now_s,
             sequence=self.sequence,
-            frame_bytes=len(transmission.frame_bytes),
+            frame_bytes=frame_bytes,
             airtime_s=airtime_s,
-            energy_j=self.energy_per_packet_j(len(transmission.frame_bytes)))
+            energy_j=self.energy_per_packet_j(frame_bytes))
         self.transmissions.append(record)
         if was_off and self.rx_window_ms == 0:
             self.sim.at(transmission.end_s,
@@ -441,10 +436,6 @@ class WiLEDevice:
 
     # -- energy accounting -----------------------------------------------------------
 
-    def _tx_window_s(self, beacon: Beacon) -> float:
-        return (self.warmup_s
-                + frame_airtime_us(len(beacon.to_bytes()), self.rate) / 1e6)
-
     def energy_per_packet_j(self, frame_bytes: int) -> float:
         """The paper's §5.4 accounting: TX window x TX power.
 
@@ -454,16 +445,16 @@ class WiLEDevice:
         """
         airtime_s = frame_airtime_us(frame_bytes, self.rate) / 1e6
         window_s = self.warmup_s + airtime_s
+        model = (self.recorder.model if self.recorder is not None
+                 else Esp32PowerModel())
+        return window_s * model.power_w(self._tx_state)
+
+    @property
+    def _tx_state(self) -> Esp32State:
         # The paper measures at 0 dBm; a long-range deployment raising the
         # PA toward 20 dBm pays the datasheet's high-power TX current.
-        tx_state = (Esp32State.TX_LOW if self.tx_power_dbm <= 10.0
-                    else Esp32State.TX_HIGH)
-        if self.recorder is not None:
-            power_w = self.recorder.model.power_w(tx_state)
-        else:
-            model = Esp32PowerModel()
-            power_w = model.power_w(tx_state)
-        return window_s * power_w
+        return (Esp32State.TX_LOW if self.tx_power_dbm <= 10.0
+                else Esp32State.TX_HIGH)
 
     def _record(self, state: Esp32State, duration_s: float, label: str,
                 at_s: float | None = None) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from ..sim import Position, Simulator, WirelessMedium
 from .crypto import DeviceKeyring
+from .payload import sequence_gap
 from .receiver import ReceivedMessage, WiLEReceiver
 
 
@@ -50,14 +51,6 @@ class DeviceRecord:
         if interval is None:
             return True
         return (now_s - self.last_seen_s) < missed_threshold * interval
-
-
-def _sequence_gap(previous: int, current: int) -> int:
-    """Messages missed between two sequence numbers (mod 2^16)."""
-    gap = (current - previous) & 0xFFFF
-    if gap == 0:
-        return 0
-    return gap - 1
 
 
 class WiLEGateway:
@@ -96,7 +89,7 @@ class WiLEGateway:
                 last_seen_s=received.time_s,
                 last_sequence=message.sequence)
             return
-        gap = _sequence_gap(record.last_sequence, message.sequence)
+        gap = sequence_gap(record.last_sequence, message.sequence)
         record.messages_missed += gap
         record.messages_received += 1
         # The observed span covers (gap + 1) device intervals.

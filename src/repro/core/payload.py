@@ -16,13 +16,16 @@ its OUI + type:
     body (TLV sensor readings, or ciphertext||MIC if FLAG_ENCRYPTED)
     crc16(2)
 
-The trailing CRC-16 (CCITT-FALSE) protects against a receiver-side OS
-truncating or mangling the IE it hands to the application — the 802.11
-FCS is not visible above the driver on the phones the paper targets.
+The trailing CRC-16 (CCITT-FALSE, computed by the stdlib's
+``binascii.crc_hqx``) protects against a receiver-side OS truncating or
+mangling the IE it hands to the application — the 802.11 FCS is not
+visible above the driver on the phones the paper targets. Receivers
+count lost messages by the mod-2^16 sequence gap (:func:`sequence_gap`).
 """
 
 from __future__ import annotations
 
+import binascii
 import enum
 import struct
 from dataclasses import dataclass, field
@@ -65,35 +68,20 @@ class PayloadError(ValueError):
     """Raised for malformed Wi-LE messages."""
 
 
-def _build_crc16_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC16_TABLE = _build_crc16_table()
-
-
 def crc16_ccitt(data: bytes, initial: int = 0xFFFF) -> int:
-    """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
+    """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), via the stdlib's
+    ``binascii.crc_hqx`` — the gateway ingest service validates this CRC
+    on every payload at production rates. The ``crc16-ccitt-vs-table``
+    oracle pins it against a table-driven reference in
+    :mod:`repro.check`."""
+    return binascii.crc_hqx(data, initial)
 
-    Table-driven (one lookup per byte): the gateway ingest service
-    validates this CRC on every payload at production rates, where the
-    original bit-at-a-time loop was the single hottest instruction
-    stream in the decode path (~14 µs per 20-byte message vs ~1.5 µs).
-    """
-    crc = initial
-    table = _CRC16_TABLE
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ byte]
-    return crc
+
+def sequence_gap(previous: int, current: int) -> int:
+    """Messages missed between two sequence numbers (mod 2^16); a repeat
+    of ``previous`` misses none."""
+    gap = (current - previous) & 0xFFFF
+    return 0 if gap == 0 else gap - 1
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,42 +1,22 @@
-"""IEEE 802 frame check sequence (CRC-32) implemented from first principles.
+"""IEEE 802 frame check sequence (CRC-32).
 
 802.11 frames end in a 32-bit FCS computed with the standard IEEE CRC-32
-polynomial (0x04C11DB7, reflected form 0xEDB88320). We build the reflected
-lookup table once at import time; ``crc32`` then processes one byte per
-table lookup, which is plenty fast for simulated frames.
+polynomial (0x04C11DB7, reflected form 0xEDB88320) — exactly
+``zlib.crc32``, which ``crc32`` calls. The table-driven reference the
+``fcs-vs-zlib`` oracle compares it against lives in
+:mod:`repro.check.analytic`.
 """
 
 from __future__ import annotations
 
-_POLY_REFLECTED = 0xEDB88320
+import zlib
 
 
-def _build_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _POLY_REFLECTED
-            else:
-                crc >>= 1
-        table.append(crc)
-    return tuple(table)
-
-
-_TABLE = _build_table()
-
-
-def crc32(data: bytes, initial: int = 0xFFFFFFFF) -> int:
-    """Compute the IEEE CRC-32 of ``data``.
-
-    Matches ``zlib.crc32`` (init all-ones, final XOR all-ones) so captures
-    produced here validate against standard tooling.
-    """
-    crc = initial
-    for byte in data:
-        crc = (crc >> 8) ^ _TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+def crc32(data: bytes) -> int:
+    """Compute the IEEE CRC-32 of ``data`` (init all-ones, final XOR
+    all-ones), so captures produced here validate against standard
+    tooling."""
+    return zlib.crc32(data)
 
 
 def append_fcs(frame_body: bytes) -> bytes:

@@ -9,12 +9,14 @@ per beacon, which caps a single core below the gateway's 1M
 payloads/minute target. This module is the same parse expressed as
 byte-offset arithmetic over the raw frame:
 
-* FCS via :func:`zlib.crc32` (C speed; the repo's first-principles
-  table in :mod:`repro.dot11.fcs` matches it by construction);
-* one information-element walk to find the Wi-LE vendor IE (OUI +
-  vendor type), no element objects materialised;
-* the message header in one ``struct.unpack_from``, the CRC-16 via the
-  shared table-driven :func:`repro.core.payload.crc16_ccitt`, and the
+* FCS via :func:`zlib.crc32`, the same stdlib call behind
+  :func:`repro.dot11.fcs.crc32`;
+* one information-element walk (:func:`find_wile_blob`, shared with
+  :func:`peek_device_id` and the stream generator's corruptor) to find
+  the Wi-LE vendor IE (OUI + vendor type) and enforce the hidden-SSID
+  rule, no element objects materialised;
+* the message header in one ``struct.unpack_from``, the CRC-16 via
+  :func:`repro.core.payload.crc16_ccitt` (stdlib ``binascii``), and the
   sensor TLVs decoded straight to ``(kind, value)`` pairs.
 
 **Contract:** for every frame the full parser accepts as a Wi-LE
@@ -69,6 +71,7 @@ class BeaconPayload:
 _MGMT_HEADER = 24
 _FIXED_PARAMS = 12   # timestamp(8) + interval(2) + capabilities(2)
 _FCS_BYTES = 4
+_SSID_IE = 0
 _VENDOR_IE = 221
 _OUI_TYPE = WILE_OUI + bytes([WILE_VENDOR_TYPE])
 
@@ -93,11 +96,43 @@ _KIND_RAW = 0x7F
 _KIND_SIZES = {1: 2, 2: 2, 3: 2, 4: 4, 5: 4}
 
 
+def find_wile_blob(wire: bytes) -> tuple[int, int, bool]:
+    """Walk a raw beacon's information elements once, building no
+    element objects.
+
+    Returns ``(start, end, visible_ssid)``: the offsets of the message
+    blob in the first Wi-LE vendor IE (OUI + vendor type), or
+    ``(-1, -1)`` if there is none; and whether the first SSID element
+    names a network. Like the full parser, the walk ends at the FCS or
+    at an element overrunning it, and takes only SSID bodies of at most
+    32 bytes as an SSID (it keeps longer ones as raw elements).
+    """
+    pos = _MGMT_HEADER + _FIXED_PARAMS
+    end = len(wire) - _FCS_BYTES
+    start = stop = -1
+    visible_ssid = None
+    while pos + 2 <= end:
+        element_id = wire[pos]
+        length = wire[pos + 1]
+        value_end = pos + 2 + length
+        if value_end > end:
+            break
+        if element_id == _VENDOR_IE and start < 0 and length >= 4 \
+                and wire[pos + 2:pos + 6] == _OUI_TYPE:
+            start, stop = pos + 6, value_end
+        elif element_id == _SSID_IE and visible_ssid is None \
+                and length <= 32:
+            visible_ssid = length > 0
+        pos = value_end
+    return start, stop, bool(visible_ssid)
+
+
 def extract_payload(wire: bytes, check_fcs: bool = True) -> BeaconPayload:
     """Parse one over-the-air frame into a :class:`BeaconPayload`.
 
     Raises :class:`IngestError` unless ``wire`` is an intact (FCS-valid)
-    802.11 beacon carrying an intact (CRC-valid) Wi-LE vendor IE.
+    802.11 beacon with a hidden SSID carrying an intact (CRC-valid)
+    Wi-LE vendor IE.
     """
     n = len(wire)
     if n < _MGMT_HEADER + _FIXED_PARAMS + _FCS_BYTES:
@@ -106,28 +141,16 @@ def extract_payload(wire: bytes, check_fcs: bool = True) -> BeaconPayload:
     # DS/order flags — exactly what an injected (or real) beacon sends.
     if wire[0] != 0x80 or wire[1] != 0x00:
         raise IngestError("not a plain beacon frame")
-    if check_fcs:
-        expected = int.from_bytes(wire[n - 4:], "little")
-        if zlib.crc32(wire[:n - 4]) & 0xFFFFFFFF != expected:
-            raise IngestError("FCS mismatch")
-    # Walk the information elements for the Wi-LE vendor IE.
-    pos = _MGMT_HEADER + _FIXED_PARAMS
-    end = n - _FCS_BYTES
-    blob = None
-    while pos + 2 <= end:
-        length = wire[pos + 1]
-        value_end = pos + 2 + length
-        if value_end > end:
-            raise IngestError("truncated information element")
-        if wire[pos] == _VENDOR_IE and length >= 4 \
-                and wire[pos + 2:pos + 6] == _OUI_TYPE:
-            blob = wire[pos + 6:value_end]
-            break
-        pos = value_end
-    if blob is None:
-        raise IngestError("no Wi-LE vendor IE")
+    if check_fcs and zlib.crc32(wire[:n - 4]) != int.from_bytes(
+            wire[n - 4:], "little"):
+        raise IngestError("FCS mismatch")
+    start, end, visible_ssid = find_wile_blob(wire)
+    if start < 0:
+        raise IngestError("no intact Wi-LE vendor IE")
+    if visible_ssid:
+        raise IngestError("Wi-LE beacons must use a hidden SSID")
     try:
-        return decode_message_blob(blob)
+        return decode_message_blob(wire[start:end])
     except struct.error as error:
         # Defence in depth: the explicit length checks should make this
         # unreachable, but a short read must reject, never escape raw.
@@ -203,46 +226,30 @@ def _decode_readings(blob: bytes, pos: int,
 def peek_device_id(wire: bytes) -> int | None:
     """The Wi-LE device id of a frame, or ``None`` if it cannot be read.
 
-    A *routing* parse, not a validating one: no FCS, no message CRC —
-    just enough structure-walking to find the vendor IE and unpack the
-    header. The federation layer partitions streams with it, so it must
-    be a pure function of the bytes (same frame, same answer, every
-    process) but must never reject: a frame too mangled to route still
-    has to land on *some* deterministic partition to have its decode
-    error counted exactly once.
+    A *routing* parse, not a validating one: no FCS, no message CRC, no
+    SSID rule — just the IE walk and the header unpack. The federation
+    layer partitions streams with it, so it must be a pure function of
+    the bytes (same frame, same answer, every process) but must never
+    reject: a frame too mangled to route still has to land on *some*
+    deterministic partition to have its decode error counted exactly
+    once.
     """
-    n = len(wire)
-    if n < _MGMT_HEADER + _FIXED_PARAMS + _FCS_BYTES or wire[0] != 0x80:
+    if wire[:1] != b"\x80":
         return None
-    pos = _MGMT_HEADER + _FIXED_PARAMS
-    end = n - _FCS_BYTES
-    while pos + 2 <= end:
-        length = wire[pos + 1]
-        value_end = pos + 2 + length
-        if value_end > end:
-            return None
-        if wire[pos] == _VENDOR_IE and length >= 4 \
-                and wire[pos + 2:pos + 6] == _OUI_TYPE:
-            blob = wire[pos + 6:value_end]
-            if len(blob) < _MSG_HEADER.size:
-                return None
-            return _MSG_HEADER.unpack_from(blob)[1]
-        pos = value_end
-    return None
+    start, end, _ = find_wile_blob(wire)
+    if end - start < _MSG_HEADER.size:
+        return None
+    return _MSG_HEADER.unpack_from(wire, start)[1]
 
 
-def decode_wires(wires: Sequence[bytes],
-                 tenant_bits: int = DEFAULT_TENANT_BITS,
-                 ) -> tuple[list[BeaconPayload], int]:
+def decode_wires(wires: Sequence[bytes]) -> tuple[list[BeaconPayload], int]:
     """Decode one batch of raw frames into payloads, preserving order.
 
     Returns ``(payloads, errors)``: the decodable frames' payloads in
     stream order, plus the count of undecodable frames (dropped, never
     fatal — one mangled capture must not take the service down).
-    ``tenant_bits`` is accepted for signature parity with the old
-    partial-state decoder; tenancy is derived by the merge side now.
+    Tenancy is resolved where the payloads are observed.
     """
-    del tenant_bits  # tenancy is resolved where payloads are observed
     payloads: list[BeaconPayload] = []
     errors = 0
     for wire in wires:
@@ -282,15 +289,15 @@ def decode_batch(wires: Sequence[bytes],
 def decode_batch_task(task: tuple) -> tuple[int, list[BeaconPayload], int]:
     """Worker-side unit of fan-out (module-level so it pickles).
 
-    ``task`` is ``(batch_id, wires, tenant_bits, chaos_dir,
-    chaos_kill_batch)``; the result is ``(batch_id, payloads, errors)``
-    with payloads in stream order, so the server can observe them
-    sequentially. The chaos hook mirrors the fleet shard runner: the
-    *first* attempt at the named batch SIGKILLs its own worker (marker
-    file first, so the retry proceeds), which is how the chaos smoke
-    proves a killed worker loses no aggregates.
+    ``task`` is ``(batch_id, wires, chaos_dir, chaos_kill_batch)``;
+    the result is ``(batch_id, payloads, errors)`` with payloads in
+    stream order, so the server can observe them sequentially. The
+    chaos hook mirrors the fleet shard runner: the *first* attempt at
+    the named batch SIGKILLs its own worker (marker file first, so the
+    retry proceeds), which is how the chaos smoke proves a killed
+    worker loses no aggregates.
     """
-    batch_id, wires, tenant_bits, chaos_dir, chaos_kill_batch = task
+    batch_id, wires, chaos_dir, chaos_kill_batch = task
     if chaos_kill_batch is not None and batch_id == chaos_kill_batch \
             and chaos_dir is not None:
         marker = os.path.join(chaos_dir, f"chaos_kill_{batch_id}.marker")
@@ -298,5 +305,5 @@ def decode_batch_task(task: tuple) -> tuple[int, list[BeaconPayload], int]:
             with open(marker, "w", encoding="utf-8") as handle:
                 handle.write("killed once\n")
             os.kill(os.getpid(), signal.SIGKILL)
-    payloads, errors = decode_wires(wires, tenant_bits)
+    payloads, errors = decode_wires(wires)
     return batch_id, payloads, errors

@@ -31,6 +31,8 @@ from ..core.payload import (
     WileFlags,
     WileMessage,
 )
+from ..dot11.fcs import append_fcs
+from .ingest import find_wile_blob
 from .tenants import DEFAULT_TENANT_BITS
 
 _MAGIC = "wile-beacon-stream"
@@ -100,22 +102,12 @@ def _corrupt(wire: bytes, rng: random.Random) -> bytes:
     """Flip one bit inside the Wi-LE message blob and re-seal the FCS,
     so the damage presents as a message-CRC16 failure — the layer a
     gateway must catch itself, not a frame the NIC already dropped."""
-    import zlib
-    end = len(wire) - 4
-    pos = 36  # mgmt header + fixed params; then the IE walk
-    blob_range = None
-    while pos + 2 <= end:
-        length = wire[pos + 1]
-        if wire[pos] == 221:  # vendor-specific: OUI(3)+type(1), then blob
-            blob_range = (pos + 6, pos + 2 + length)
-            break
-        pos += 2 + length
-    if blob_range is None or blob_range[0] >= blob_range[1]:
+    start, end, _ = find_wile_blob(wire)
+    if start >= end:
         return wire
     mangled = bytearray(wire[:-4])
-    mangled[rng.randrange(*blob_range)] ^= 1 << rng.randrange(8)
-    fcs = zlib.crc32(bytes(mangled)) & 0xFFFFFFFF
-    return bytes(mangled) + fcs.to_bytes(4, "little")
+    mangled[rng.randrange(start, end)] ^= 1 << rng.randrange(8)
+    return append_fcs(bytes(mangled))
 
 
 def record_stream(path: str, wires: list[bytes],

@@ -353,7 +353,7 @@ class GatewayService:
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         if self._executor is None:
-            payloads, errors = decode_wires(batch, self.config.tenant_bits)
+            payloads, errors = decode_wires(batch)
             self._merge_ready(batch_id, payloads, errors)
             return
         self._submit_to_pool(batch_id, batch)
@@ -363,8 +363,8 @@ class GatewayService:
             await self._reap_oldest()
 
     def _submit_to_pool(self, batch_id: int, batch: list) -> None:
-        task = (batch_id, batch, self.config.tenant_bits,
-                self.config.chaos_dir, self.config.chaos_kill_batch)
+        task = (batch_id, batch, self.config.chaos_dir,
+                self.config.chaos_kill_batch)
         future = asyncio.wrap_future(
             self._executor.submit(decode_batch_task, task))
         self._pending[batch_id] = (batch, future)
@@ -401,8 +401,7 @@ class GatewayService:
                     and retries <= self.config.max_retries:
                 self._submit_to_pool(batch_id, batch)
             else:
-                payloads, errors = decode_wires(batch,
-                                                self.config.tenant_bits)
+                payloads, errors = decode_wires(batch)
                 self._retries.pop(batch_id, None)
                 self._merge_ready(batch_id, payloads, errors)
 

@@ -15,8 +15,9 @@ partials merge in stream order, and the result is identical in
 counters (and to ~1e-9 in moments) to a single sequential pass — the
 property the chaos smoke turns into an executable test.
 
-Sequence accounting is per device (mod-2^16 gaps, exactly the
-:mod:`repro.core.gateway` convention): ``missed`` estimates beacons the
+Sequence accounting is per device (mod-2^16 gaps via
+:func:`repro.core.payload.sequence_gap`, shared with
+:mod:`repro.core.gateway`): ``missed`` estimates beacons the
 gateway never decoded, ``duplicates`` counts same-sequence arrivals
 (rebroadcasts or replay overlap).
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.payload import sequence_gap
 from ..experiments.statistics import StreamingSummary
 from ..fleet.aggregate import MergeableHistogram
 
@@ -47,12 +49,6 @@ def tenant_of(device_id: int, tenant_bits: int = DEFAULT_TENANT_BITS) -> int:
     return device_id >> tenant_bits
 
 
-def _sequence_gap(previous: int, current: int) -> int:
-    """Beacons missed between two sequence numbers (mod 2^16)."""
-    gap = (current - previous) & 0xFFFF
-    return 0 if gap == 0 else gap - 1
-
-
 @dataclass
 class DeviceChain:
     """One device's sequence bookkeeping, mergeable in stream order."""
@@ -64,18 +60,17 @@ class DeviceChain:
     duplicates: int = 0
 
     def observe(self, sequence: int) -> None:
-        gap = (sequence - self.last_sequence) & 0xFFFF
-        if gap == 0:
+        if sequence == self.last_sequence:
             self.duplicates += 1
         else:
-            self.missed += gap - 1
+            self.missed += sequence_gap(self.last_sequence, sequence)
         self.received += 1
         self.last_sequence = sequence
 
     def merge(self, later: "DeviceChain") -> None:
         """Fold a chain whose observations *follow* this one in stream
         order — the only order the service merges in."""
-        self.missed += later.missed + _sequence_gap(self.last_sequence,
+        self.missed += later.missed + sequence_gap(self.last_sequence,
                                                     later.first_sequence)
         if later.first_sequence == self.last_sequence:
             self.duplicates += 1

@@ -12,7 +12,7 @@ from repro.core import (
     WiLEGateway,
     collision_probability,
 )
-from repro.core.gateway import _sequence_gap
+from repro.core.payload import sequence_gap
 from repro.sim import Position, Simulator, WirelessMedium
 
 READING = (SensorReading(SensorKind.TEMPERATURE_C, 17.0),)
@@ -34,16 +34,16 @@ def build_fleet(count=3, interval_s=5.0):
 
 class TestSequenceGap:
     def test_consecutive(self):
-        assert _sequence_gap(5, 6) == 0
+        assert sequence_gap(5, 6) == 0
 
     def test_missed_two(self):
-        assert _sequence_gap(5, 8) == 2
+        assert sequence_gap(5, 8) == 2
 
     def test_wraparound(self):
-        assert _sequence_gap(0xFFFF, 1) == 1
+        assert sequence_gap(0xFFFF, 1) == 1
 
     def test_same_sequence(self):
-        assert _sequence_gap(5, 5) == 0
+        assert sequence_gap(5, 5) == 0
 
 
 class TestRegistry:

@@ -105,6 +105,6 @@ class TestSequenceNumberWrap:
         assert WileMessage.decode(message.encode()).sequence == 0
 
     def test_gateway_handles_wrap_without_false_loss(self):
-        from repro.core.gateway import _sequence_gap
-        assert _sequence_gap(0xFFFF, 0) == 0
-        assert _sequence_gap(0xFFFE, 0) == 1
+        from repro.core.payload import sequence_gap
+        assert sequence_gap(0xFFFF, 0) == 0
+        assert sequence_gap(0xFFFE, 0) == 1

@@ -26,7 +26,12 @@ import time
 
 import pytest
 
-from repro.core.codec import decode_beacon, device_mac, encode_beacon
+from repro.core.codec import (
+    CodecError,
+    decode_beacon,
+    device_mac,
+    encode_beacon,
+)
 from repro.core.payload import (
     WILE_VENDOR_TYPE,
     WILE_VERSION,
@@ -38,7 +43,7 @@ from repro.core.payload import (
     crc16_ccitt,
 )
 from repro.dot11 import Beacon, Ssid
-from repro.dot11.elements import VendorSpecific
+from repro.dot11.elements import RawElement, VendorSpecific
 from repro.dot11.mac import WILE_OUI
 from repro.dot11.parser import ParseError, parse_frame
 from repro.fleet.shards import CheckpointMismatchError
@@ -60,7 +65,7 @@ from repro.service import (
     replay,
     tenant_of,
 )
-from repro.service.ingest import decode_message_blob
+from repro.service.ingest import decode_message_blob, peek_device_id
 from repro.service.server import ServiceError
 from repro.service.tenants import DeviceChain, TenantAggregate, TenantError
 
@@ -266,6 +271,30 @@ class TestIngestDifferential:
             except IngestError:
                 rejected += 1
         assert rejected == len(wires)
+
+    def test_visible_ssid_rejected_by_both(self):
+        message = WileMessage(
+            device_id=0x1234, sequence=1,
+            readings=(SensorReading(SensorKind.TEMPERATURE_C, 21.5),))
+        mac = device_mac(message.device_id)
+        vendor = VendorSpecific(WILE_OUI, WILE_VENDOR_TYPE, message.encode())
+        for elements in ((Ssid(b"visible-ap"), vendor),
+                         (vendor, Ssid(b"visible-ap"))):
+            visible = Beacon(source=mac, bssid=mac, elements=elements
+                             ).to_bytes(with_fcs=True)
+            with pytest.raises(IngestError):
+                extract_payload(visible)
+            with pytest.raises(CodecError):
+                decode_beacon(parse_frame(visible))
+            # Routing is not validation: the frame still finds its tenant.
+            assert peek_device_id(visible) == 0x1234
+        # An SSID body over 32 bytes is not an Ssid to the full parser
+        # (it stays a raw element), so neither path applies the rule.
+        oversized = Beacon(source=mac, bssid=mac,
+                           elements=(RawElement(0, b"x" * 33), vendor)
+                           ).to_bytes(with_fcs=True)
+        assert decode_beacon(parse_frame(oversized)).device_id == 0x1234
+        assert extract_payload(oversized).readings == ((1, 21.5),)
 
     def test_non_beacon_and_truncated_rejected(self):
         with pytest.raises(IngestError):
@@ -649,7 +678,7 @@ class TestGatewayService:
 
     def test_pump_failure_poisons_intake_and_surfaces_at_stop(
             self, monkeypatch):
-        def boom(batch, tenant_bits):
+        def boom(batch):
             raise RuntimeError("decoder exploded")
 
         monkeypatch.setattr("repro.service.server.decode_wires", boom)
