@@ -4,10 +4,11 @@ Each oracle here executes a shipped fast path *and* its slower
 reference twin on identical inputs and diffs the outputs to a stated
 tolerance. These are the pairs PR 1's perf work introduced (T-table
 AES vs the FIPS-197 byte-level reference, cached CCM contexts and
-memoised PMKs vs fresh derivations), plus the structural equivalences
-later PRs promised (sampled traces vs exact integrals, N-shard fleets
-vs one shard, zero-intensity fault plans vs no plan, parallel sweeps
-vs serial).
+memoised PMKs vs fresh derivations), the medium's one-pass completion
+scan vs the per-radio decision it replaced, plus the structural
+equivalences later PRs promised (sampled traces vs exact integrals,
+N-shard fleets vs one shard, zero-intensity fault plans vs no plan,
+parallel sweeps vs serial).
 """
 
 from __future__ import annotations
@@ -15,15 +16,22 @@ from __future__ import annotations
 import math
 import random
 
+from ..dot11.channels import channel_frequency_hz
+from ..dot11.mac import MacAddress
+from ..dot11.rates import CCK_11, HT_MCS7_SGI, OFDM_6, OFDM_24
 from ..energy.trace import CurrentTrace
 from ..experiments.statistics import replicate
 from ..fleet.aggregate import counters_equal, moments_close
 from ..fleet.kernel import KernelStats, run_shard_cohort
 from ..fleet.population import FleetConfig, generate_fleet
 from ..fleet.shards import plan_shards, run_shard, run_sharded_fleet
+from ..phy.link import frame_delivered
+from ..phy.pathloss import noise_floor_dbm, received_power_dbm
 from ..security.aes import Aes
 from ..security.ccm import CcmContext, ccm_decrypt, ccm_encrypt
 from ..security.keys import derive_pmk, pmk_from_passphrase
+from ..sim import Position, Radio, RadioState, Simulator, WirelessMedium
+from ..sim.medium import DeliveryReport
 from . import Deviation, oracle
 from .analytic import _idle_access_delay
 
@@ -339,3 +347,219 @@ def check_runner_determinism() -> Deviation:
     return Deviation(max_deviation=float(mismatches), tolerance=0.0,
                      unit="mismatches",
                      detail=f"{len(seeds)} seeds, exact float equality")
+
+
+class _ReferenceMedium(WirelessMedium):
+    """The medium's completion as it was before the one-pass scan: sort
+    the candidates with a key lambda, then call one per-radio decision
+    that re-derives every per-transmission quantity (channel frequency,
+    noise floor, half-duplex scan) for each listening radio and filters
+    on range only after the receiver-state checks. ``skips`` counts the
+    candidates each filter dropped, for the oracle's coverage check."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.skips = {"channel": 0, "half-duplex": 0, "range": 0}
+
+    def _complete(self, transmission) -> None:
+        self._active.remove(transmission)
+        if self.max_range_m is not None:
+            origin = transmission.sender.position
+            column = int(origin.x_m // self.max_range_m)
+            row = int(origin.y_m // self.max_range_m)
+            items = []
+            for dc in (-1, 0, 1):
+                for dr in (-1, 0, 1):
+                    bucket = self._cells.get((column + dc, row + dr))
+                    if bucket:
+                        items.extend(bucket.items())
+            candidates = sorted(items, key=lambda item: item[1])
+        else:
+            candidates = sorted(self._listening.items(),
+                                key=lambda item: item[1])
+        for radio, _index in candidates:
+            if radio is transmission.sender:
+                continue
+            report = self._deliver_to(transmission, radio)
+            if report is None:
+                continue
+            for listener in self._delivery_listeners:
+                listener(transmission, report)
+            if report.delivered:
+                self.frames_delivered += 1
+                radio.deliver(transmission)
+            elif report.reason == "collision":
+                self.frames_lost_collision += 1
+            elif report.reason == "snr":
+                self.frames_lost_snr += 1
+
+    def _deliver_to(self, transmission, radio) -> DeliveryReport | None:
+        if not radio.is_listening(transmission.channel):
+            self.skips["channel"] += 1
+            return None
+        if any(other.sender is radio for other in transmission.overlapping):
+            self.skips["half-duplex"] += 1
+            return None
+        distance = max(self.min_distance_m,
+                       transmission.sender.position.distance_to(radio.position))
+        if self.max_range_m is not None and distance > self.max_range_m:
+            self.skips["range"] += 1
+            return None
+        if self.fault_injector is not None and self.fault_injector(
+                transmission, radio):
+            self.frames_lost_injected += 1
+            return DeliveryReport(radio, False, "injected-fault", 0.0)
+        frequency_hz = channel_frequency_hz(transmission.channel)
+        signal_dbm = received_power_dbm(
+            transmission.power_dbm, distance,
+            exponent=self.path_loss_exponent, frequency_hz=frequency_hz)
+        if self.link_impairment is not None:
+            signal_dbm -= self.link_impairment(transmission, radio)
+        noise_dbm = noise_floor_dbm(self.bandwidth_hz)
+        interference_mw = 0.0
+        for other in transmission.overlapping:
+            other_distance = max(self.min_distance_m,
+                                 other.sender.position.distance_to(radio.position))
+            if (self.interference_range_m is not None
+                    and other_distance > self.interference_range_m):
+                continue
+            other_dbm = received_power_dbm(other.power_dbm, other_distance,
+                                           exponent=self.path_loss_exponent,
+                                           frequency_hz=frequency_hz)
+            interference_mw += 10.0 ** (other_dbm / 10.0)
+        noise_plus_interference_mw = 10.0 ** (noise_dbm / 10.0) + interference_mw
+        sinr_db = signal_dbm - 10.0 * math.log10(noise_plus_interference_mw)
+        if transmission.overlapping and sinr_db < self.capture_threshold_db:
+            return DeliveryReport(radio, False, "collision", sinr_db)
+        if not frame_delivered(sinr_db, len(transmission.frame_bytes),
+                               transmission.rate):
+            return DeliveryReport(radio, False, "snr", sinr_db)
+        return DeliveryReport(radio, True, "ok", sinr_db)
+
+
+def _medium_scene(medium_cls: type,
+                  seed: int) -> tuple[dict, WirelessMedium]:
+    """One seeded scene on ``medium_cls``; returns everything observable
+    and the medium it ran on.
+
+    Bursts of transmissions overlap (collisions, capture, half-duplex
+    senders), radios sit on three channels and power off, retune and
+    return mid-run, and about half the scenes install a stateful fault
+    injector and link impairment whose draws depend on the exact call
+    sequence. The delivery cutoff alternates between none and two
+    ranges, with and without a wider interference range.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    max_range = rng.choice((None, 12.0, 25.0))
+    interference = rng.choice((None, 40.0))
+    medium = medium_cls(sim, max_range_m=max_range,
+                        interference_range_m=interference)
+    radios = []
+    for index in range(rng.randint(8, 16)):
+        radio = Radio(sim, medium, MacAddress(bytes((2, 0, 0, 0, seed & 0xFF,
+                                                     index))),
+                      position=Position(rng.uniform(0.0, 40.0),
+                                        rng.uniform(0.0, 30.0)),
+                      channel=rng.choice((1, 6, 6, 6, 11)))
+        mode = rng.random()
+        if mode > 0.15:
+            radio.power_on(monitor=mode > 0.55)
+        radios.append(radio)
+
+    observed: dict[str, list] = {"reports": [], "faults": [],
+                                 "impairments": []}
+
+    def record(transmission, report) -> None:
+        observed["reports"].append((
+            str(transmission.sender.mac), str(report.receiver.mac),
+            report.delivered, report.reason, report.snr_db.hex()))
+
+    medium.add_delivery_listener(record)
+    if rng.random() < 0.5:
+        fault_rng = random.Random(seed ^ 0xFA17)
+
+        def injector(transmission, radio) -> bool:
+            observed["faults"].append((str(transmission.sender.mac),
+                                       str(radio.mac), sim.now_s))
+            return fault_rng.random() < 0.15
+
+        def impairment(transmission, radio) -> float:
+            observed["impairments"].append((str(transmission.sender.mac),
+                                            str(radio.mac)))
+            return fault_rng.uniform(0.0, 15.0)
+
+        medium.fault_injector = injector
+        medium.link_impairment = impairment
+
+    rates = (OFDM_6, OFDM_24, CCK_11, HT_MCS7_SGI)
+
+    def send(radio, length, rate, power_dbm) -> None:
+        if radio.state in (RadioState.OFF, RadioState.TX):
+            return
+        radio.transmit(bytes(length), rate, power_dbm)
+
+    for burst in range(rng.randint(6, 10)):
+        start_s = 0.01 * burst
+        for _ in range(rng.randint(2, 7)):
+            sim.at(start_s + rng.uniform(0.0, 4e-4),
+                   lambda radio=rng.choice(radios),
+                   length=rng.randint(30, 300), rate=rng.choice(rates),
+                   power=rng.uniform(-10.0, 20.0):
+                   send(radio, length, rate, power))
+        radio = rng.choice(radios)
+        toggle = rng.random()
+        at_s = start_s + rng.uniform(0.0, 4e-4)
+        if toggle < 0.3:
+            sim.at(at_s, radio.power_off)
+        elif toggle < 0.6:
+            sim.at(at_s, lambda radio=radio: radio.power_on(monitor=True))
+        elif toggle < 0.8:
+            sim.at(at_s, lambda radio=radio,
+                   channel=rng.choice((1, 6, 11)): radio.set_channel(channel))
+    sim.run()
+    observed["counters"] = [
+        medium.frames_transmitted, medium.frames_delivered,
+        medium.frames_lost_collision, medium.frames_lost_snr,
+        medium.frames_lost_injected]
+    return observed, medium
+
+
+def _medium_differential(seeds: range) -> Deviation:
+    mismatched: list[int] = []
+    reasons: dict[str, int] = {}
+    skips = {"channel": 0, "half-duplex": 0, "range": 0}
+    faults = 0
+    for seed in seeds:
+        fast, _ = _medium_scene(WirelessMedium, seed)
+        reference, reference_medium = _medium_scene(_ReferenceMedium, seed)
+        for name, count in reference_medium.skips.items():
+            skips[name] += count
+        if fast != reference:
+            mismatched.append(seed)
+        for report in reference["reports"]:
+            reasons[report[3]] = reasons.get(report[3], 0) + 1
+        faults += len(reference["faults"])
+    # A scene set that stopped exercising a decision branch or a filter
+    # would pass vacuously; count each missing one as a mismatch.
+    reasons.update(skips)
+    uncovered = [name for name in ("ok", "snr", "collision",
+                                   "injected-fault", "channel",
+                                   "half-duplex", "range")
+                 if not reasons.get(name)]
+    return Deviation(
+        max_deviation=float(len(mismatched) + len(uncovered)),
+        tolerance=0.0, unit="mismatches",
+        detail=(f"{len(seeds)} scenes, reports and skips "
+                f"{dict(sorted(reasons.items()))}, "
+                f"{faults} fault-injector calls"
+                + (f"; differing seeds {mismatched}" if mismatched else "")
+                + (f"; uncovered {uncovered}" if uncovered else "")))
+
+
+@oracle("medium-scan-vs-reference", "differential",
+        "the medium's one-pass completion scan reproduces the per-radio "
+        "reference decision: every report, SINR bit and fault-injector "
+        "call, in order")
+def check_medium_scan() -> Deviation:
+    return _medium_differential(range(24))

@@ -24,9 +24,9 @@ them:
 3. **Demotion** — a transmission that *does* overlap (a collision
    candidate), falls inside a fault window, or otherwise enters an
    "interesting" state is demoted to the exact per-event arithmetic:
-   the same scalar ``math`` calls, in the same order, as
-   :meth:`repro.sim.medium.WirelessMedium._deliver_to`. Once resolved
-   the device is promoted back to the cohort. Demotion is per
+   the same scalar ``math`` calls, in the same order, as the per-radio
+   decision in :meth:`repro.sim.medium.WirelessMedium._complete`. Once
+   resolved the device is promoted back to the cohort. Demotion is per
    transmission, so a device pays the exact path only for the instants
    that need it.
 4. **Bulk charge integration** — per-wake energy is a single constant,
@@ -287,7 +287,7 @@ def run_shard_cohort(shard: ShardSpec,
 
     # Per-(device, gateway) delivery precompute, scalar math only: the
     # delivery decision is a threshold comparison, so the kernel must
-    # produce the same *bits* as WirelessMedium._deliver_to, and numpy's
+    # produce the same *bits* as WirelessMedium._complete, and numpy's
     # vectorized transcendentals are allowed to differ by ulps. Gateways
     # are bucketed into max_range cells exactly like the medium's
     # listening grid, so each device scans its 3x3 neighbourhood.

@@ -8,6 +8,7 @@ crossovers where the paper expects them; not a fading-channel study.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ..dot11.rates import Modulation, PhyRate
@@ -26,7 +27,10 @@ def _q_function(x: float) -> float:
 _CODING_GAIN_DB = {1.0: 0.0, 5 / 6: 3.0, 3 / 4: 3.5, 2 / 3: 4.0, 1 / 2: 5.0}
 
 
+@functools.cache
 def _coding_gain_db(coding_rate: float) -> float:
+    """Gain of the nearest tabulated code rate; memoised, since the
+    medium asks for the same handful of PHY rates on every decision."""
     best = min(_CODING_GAIN_DB, key=lambda rate: abs(rate - coding_rate))
     return _CODING_GAIN_DB[best]
 

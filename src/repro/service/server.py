@@ -365,8 +365,15 @@ class GatewayService:
     def _submit_to_pool(self, batch_id: int, batch: list) -> None:
         task = (batch_id, batch, self.config.chaos_dir,
                 self.config.chaos_kill_batch)
-        future = asyncio.wrap_future(
-            self._executor.submit(decode_batch_task, task))
+        try:
+            future = asyncio.wrap_future(
+                self._executor.submit(decode_batch_task, task))
+        except (BrokenProcessPool, OSError, RuntimeError) as error:
+            # A pool that broke before this submit raises here rather
+            # than in a future; park the error in one so the reaper
+            # sends it down the same rescue path as a poisoned future.
+            future = asyncio.get_running_loop().create_future()
+            future.set_exception(error)
         self._pending[batch_id] = (batch, future)
 
     async def _reap_oldest(self) -> None:

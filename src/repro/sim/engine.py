@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from typing import Any, Callable
 
 
@@ -21,13 +21,25 @@ class SimulationError(RuntimeError):
     """Raised for scheduling into the past or running a broken event loop."""
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    time_s: float
-    order: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    popped: bool = field(default=False, compare=False)
+    """One queued callback and its lifecycle flags.
+
+    The heap holds ``(time_s, order, event)`` tuples rather than these
+    records: ``order`` is unique, so every heap sift settles on the two
+    leading fields in C and never calls back into Python to compare
+    events. The record is shared with :class:`EventHandle`, which is how
+    a cancel reaches the queued entry.
+    """
+
+    __slots__ = ("time_s", "order", "callback", "cancelled", "popped")
+
+    def __init__(self, time_s: float, order: int,
+                 callback: Callable[[], None]) -> None:
+        self.time_s = time_s
+        self.order = order
+        self.callback = callback
+        self.cancelled = False
+        self.popped = False
 
 
 class EventHandle:
@@ -70,7 +82,7 @@ class Simulator:
     COMPACT_MIN_SIZE = 64
 
     def __init__(self, tracer: Any | None = None) -> None:
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: list[tuple[float, int, _ScheduledEvent]] = []
         self._order = itertools.count()
         self._now_s = 0.0
         self._running = False
@@ -101,12 +113,13 @@ class Simulator:
         if time_s < self._now_s:
             raise SimulationError(
                 f"cannot schedule at {time_s}s, now is {self._now_s}s")
-        event = _ScheduledEvent(time_s, next(self._order), callback)
-        heapq.heappush(self._heap, event)
+        order = next(self._order)
+        event = _ScheduledEvent(time_s, order, callback)
+        heapq.heappush(self._heap, (time_s, order, event))
         self.events_scheduled += 1
         if self.tracer is not None:
             self.tracer.emit("event_scheduled", self._now_s,
-                             at_s=time_s, order=event.order)
+                             at_s=time_s, order=order)
         return EventHandle(event, self)
 
     def _cancel(self, event: _ScheduledEvent) -> None:
@@ -138,7 +151,7 @@ class Simulator:
         change the pop sequence of live events.
         """
         before = len(self._heap)
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.heap_compactions += 1
@@ -163,25 +176,30 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
+        horizon_s = math.inf if until_s is None else until_s
+        heappop = heapq.heappop
         processed = 0
         drained = True
         try:
+            # Re-read self._heap every iteration: a callback that cancels
+            # enough events swaps in a compacted list (see _compact).
             while self._heap:
-                event = self._heap[0]
+                time_s, order, event = self._heap[0]
                 if event.cancelled:
-                    heapq.heappop(self._heap).popped = True
+                    heappop(self._heap)
+                    event.popped = True
                     self._cancelled_in_heap -= 1
                     continue
-                if until_s is not None and event.time_s > until_s:
+                if time_s > horizon_s:
                     break
                 if max_events is not None and processed >= max_events:
                     drained = False
                     break
-                heapq.heappop(self._heap).popped = True
-                self._now_s = event.time_s
+                heappop(self._heap)
+                event.popped = True
+                self._now_s = time_s
                 if self.tracer is not None:
-                    self.tracer.emit("event_fired", self._now_s,
-                                     order=event.order)
+                    self.tracer.emit("event_fired", time_s, order=order)
                 event.callback()
                 processed += 1
                 self.events_processed += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from ..dot11.airtime import frame_airtime_us
@@ -253,32 +254,101 @@ class WirelessMedium:
         return transmission
 
     def _complete(self, transmission: Transmission) -> None:
+        """Decide delivery at every candidate receiver, in attach order.
+
+        Everything that is the same for the whole transmission (sender
+        position, channel, frame length, the half-duplex sender set, the
+        noise floor) is computed once, and each candidate goes through
+        the cheap side-effect-free filters — range, receiver state,
+        half-duplex — before the fault injector and the SINR arithmetic.
+        The ``medium-scan-vs-reference`` oracle in :mod:`repro.check`
+        holds this scan to a per-radio reference decision.
+        """
+        from .radio import RECEIVER_ON_STATES
         self._active.remove(transmission)
         # Only radios with their receiver on can decode; iterate them in
         # attach order so listener invocation order matches the historic
         # full scan of ``self._radios`` exactly. With a delivery cutoff,
         # the 3x3 cell neighbourhood around the sender bounds the scan
         # to radios that could possibly be in range.
-        if self.max_range_m is not None:
-            origin = transmission.sender.position
-            column = int(origin.x_m // self.max_range_m)
-            row = int(origin.y_m // self.max_range_m)
-            items: list[tuple[Radio, int]] = []
+        sender = transmission.sender
+        origin_x = sender.position.x_m
+        origin_y = sender.position.y_m
+        max_range = self.max_range_m
+        if max_range is not None:
+            column = int(origin_x // max_range)
+            row = int(origin_y // max_range)
+            candidates: list[tuple[Radio, int]] = []
             for dc in (-1, 0, 1):
                 for dr in (-1, 0, 1):
                     bucket = self._cells.get((column + dc, row + dr))
                     if bucket:
-                        items.extend(bucket.items())
-            candidates = sorted(items, key=lambda item: item[1])
+                        candidates.extend(bucket.items())
         else:
-            candidates = sorted(self._listening.items(),
-                                key=lambda item: item[1])
+            candidates = list(self._listening.items())
+        candidates.sort(key=itemgetter(1))
+
+        channel = transmission.channel
+        overlapping = transmission.overlapping
+        # Half-duplex: a radio that was itself transmitting during any
+        # part of this frame's airtime cannot have received it.
+        transmitting = {other.sender for other in overlapping}
+        length = len(transmission.frame_bytes)
+        min_distance = self.min_distance_m
+        exponent = self.path_loss_exponent
+        interference_range = self.interference_range_m
+        # Filled on first use, so a frame that reaches no SINR decision
+        # never evaluates the channel's frequency (which rejects an
+        # unknown channel) or the noise floor.
+        frequency_hz = noise_mw = None
         for radio, _index in candidates:
-            if radio is transmission.sender:
+            if radio is sender:
                 continue
-            report = self._deliver_to(transmission, radio)
-            if report is None:
+            position = radio.position
+            distance = max(min_distance, math.hypot(
+                origin_x - position.x_m, origin_y - position.y_m))
+            if max_range is not None and distance > max_range:
                 continue
+            if (radio.channel != channel
+                    or radio.state not in RECEIVER_ON_STATES
+                    or radio in transmitting):
+                continue
+            if self.fault_injector is not None and self.fault_injector(
+                    transmission, radio):
+                self.frames_lost_injected += 1
+                report = DeliveryReport(radio, False, "injected-fault", 0.0)
+            else:
+                if noise_mw is None:
+                    frequency_hz = channel_frequency_hz(channel)
+                    noise_mw = 10.0 ** (noise_floor_dbm(self.bandwidth_hz)
+                                        / 10.0)
+                signal_dbm = received_power_dbm(
+                    transmission.power_dbm, distance, exponent=exponent,
+                    frequency_hz=frequency_hz)
+                if self.link_impairment is not None:
+                    signal_dbm -= self.link_impairment(transmission, radio)
+                interference_mw = 0.0
+                for other in overlapping:
+                    other_position = other.sender.position
+                    other_distance = max(min_distance, math.hypot(
+                        other_position.x_m - position.x_m,
+                        other_position.y_m - position.y_m))
+                    if (interference_range is not None
+                            and other_distance > interference_range):
+                        continue
+                    other_dbm = received_power_dbm(
+                        other.power_dbm, other_distance, exponent=exponent,
+                        frequency_hz=frequency_hz)
+                    interference_mw += 10.0 ** (other_dbm / 10.0)
+                sinr_db = signal_dbm - 10.0 * math.log10(
+                    noise_mw + interference_mw)
+                if overlapping and sinr_db < self.capture_threshold_db:
+                    report = DeliveryReport(radio, False, "collision",
+                                            sinr_db)
+                elif not frame_delivered(sinr_db, length, transmission.rate):
+                    report = DeliveryReport(radio, False, "snr", sinr_db)
+                else:
+                    report = DeliveryReport(radio, True, "ok", sinr_db)
             for listener in self._delivery_listeners:
                 listener(transmission, report)
             if report.delivered:
@@ -288,51 +358,6 @@ class WirelessMedium:
                 self.frames_lost_collision += 1
             elif report.reason == "snr":
                 self.frames_lost_snr += 1
-
-    def _deliver_to(self, transmission: Transmission,
-                    radio: "Radio") -> DeliveryReport | None:
-        """Decide delivery at one receiver; None if it was not listening."""
-        if not radio.is_listening(transmission.channel):
-            return None
-        # Half-duplex: a radio that was itself transmitting during any
-        # part of this frame's airtime cannot have received it.
-        if any(other.sender is radio for other in transmission.overlapping):
-            return None
-        distance = max(self.min_distance_m,
-                       transmission.sender.position.distance_to(radio.position))
-        if self.max_range_m is not None and distance > self.max_range_m:
-            return None
-        if self.fault_injector is not None and self.fault_injector(
-                transmission, radio):
-            self.frames_lost_injected += 1
-            return DeliveryReport(radio, False, "injected-fault", 0.0)
-        frequency_hz = channel_frequency_hz(transmission.channel)
-        signal_dbm = received_power_dbm(
-            transmission.power_dbm, distance,
-            exponent=self.path_loss_exponent, frequency_hz=frequency_hz)
-        if self.link_impairment is not None:
-            signal_dbm -= self.link_impairment(transmission, radio)
-        noise_dbm = noise_floor_dbm(self.bandwidth_hz)
-        interference_mw = 0.0
-        for other in transmission.overlapping:
-            other_distance = max(self.min_distance_m,
-                                 other.sender.position.distance_to(radio.position))
-            if (self.interference_range_m is not None
-                    and other_distance > self.interference_range_m):
-                continue
-            other_dbm = received_power_dbm(other.power_dbm, other_distance,
-                                           exponent=self.path_loss_exponent,
-                                           frequency_hz=frequency_hz)
-            interference_mw += 10.0 ** (other_dbm / 10.0)
-        noise_plus_interference_mw = 10.0 ** (noise_dbm / 10.0) + interference_mw
-        sinr_db = signal_dbm - 10.0 * math.log10(noise_plus_interference_mw)
-
-        if transmission.overlapping and sinr_db < self.capture_threshold_db:
-            return DeliveryReport(radio, False, "collision", sinr_db)
-        if not frame_delivered(sinr_db, len(transmission.frame_bytes),
-                               transmission.rate):
-            return DeliveryReport(radio, False, "snr", sinr_db)
-        return DeliveryReport(radio, True, "ok", sinr_db)
 
     # -- carrier sense -------------------------------------------------------
 

@@ -29,6 +29,11 @@ class RadioState(enum.Enum):
     MONITOR = "monitor"  # receiver on, promiscuous (no address filter)
 
 
+#: States in which the receive chain is powered (on any channel). A
+#: tuple, not a set: membership then tests identity in C, where a set
+#: would call ``Enum.__hash__`` in Python on every lookup.
+RECEIVER_ON_STATES = (RadioState.IDLE, RadioState.RX, RadioState.MONITOR)
+
 StateListener = Callable[[RadioState, RadioState, float], None]
 RxCallback = Callable[[object, Transmission], None]
 
@@ -93,8 +98,7 @@ class Radio:
 
     def is_receiver_on(self) -> bool:
         """Is the receive chain powered (any channel)?"""
-        return self.state in (RadioState.IDLE, RadioState.RX,
-                              RadioState.MONITOR)
+        return self.state in RECEIVER_ON_STATES
 
     def is_listening(self, channel: int) -> bool:
         """Can this radio currently hear ``channel`` at all?"""

@@ -23,6 +23,8 @@ import os
 import struct
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -615,6 +617,40 @@ class TestGatewayService:
                             chaos_kill_batch=2, chaos_dir=str(tmp_path),
                             max_retries=0)
         assert _digest(chaos) == _digest(clean)
+
+    @pytest.mark.parametrize("broken_pools", [1, 2])
+    def test_pool_broken_before_submit_is_rescued(self, broken_pools):
+        # A pool whose worker died while idle raises BrokenProcessPool
+        # from submit() itself, not from a future. That must take the
+        # same rescue path as a poisoned future — both from the first
+        # dispatch (one broken pool) and from the rescue's own resubmit
+        # loop (the replacement pool is broken too).
+        class BrokenFirstPools(GatewayService):
+            built = 0
+
+            def _new_executor(self):
+                self.built += 1
+                pool = ProcessPoolExecutor(max_workers=1)
+                if self.built <= broken_pools:
+                    with pytest.raises(BrokenProcessPool):
+                        pool.submit(os._exit, 1).result()
+                return pool
+
+        async def scenario():
+            service = BrokenFirstPools(ServiceConfig(
+                batch_size=512, workers=1, metrics_interval_s=0.0,
+                checkpoint_interval_s=0.0,
+                policy=BackpressurePolicy.BLOCK))
+            await service.start()
+            await replay(service, self.WIRES)
+            await service.stop()
+            return service
+
+        clean = _run_stream(self.WIRES, batch_size=512)
+        rescued = asyncio.run(scenario())
+        assert rescued.built == broken_pools + 1
+        assert rescued.stats().rescued_batches > 0
+        assert _digest(rescued) == _digest(clean)
 
     def test_checkpoint_resume_matches_clean_counters(self, tmp_path):
         half = len(self.WIRES) // 2

@@ -131,6 +131,35 @@ class TestHeapCompaction:
         sim.run()
         assert seen == [3]
 
+    def test_compaction_inside_run_keeps_time_insertion_order(self):
+        # A callback cancels most of a large heap mid-run, so _compact
+        # swaps in a new heap list while run() is iterating over it.
+        sim = Simulator()
+        fired = []
+        handles = []
+        expected = []
+        for index in range(96):
+            # four events share each timestamp: ties must still fire in
+            # insertion order after the re-heapify
+            time_s = 2.0 + (index * 7) % 24
+            handles.append(sim.schedule(
+                time_s, lambda index=index: fired.append(index)))
+            if index % 3 == 0:
+                expected.append((time_s, index))
+
+        def cancel_most():
+            for index, handle in enumerate(handles):
+                if index % 3:
+                    handle.cancel()
+
+        sim.schedule(1.0, cancel_most)
+        sim.run()
+        assert sim.heap_compactions >= 1
+        assert fired == [index for _, index in sorted(expected)]
+        assert sim.pending_events() == 0
+        assert all(handle.cancelled == bool(index % 3)
+                   for index, handle in enumerate(handles))
+
 
 class TestRunControl:
     def test_run_until_stops_early(self):
